@@ -1,8 +1,7 @@
-// S20 — next-gen solver core: multigrid vs ILU(0) preconditioning and
-// fp64 vs mixed-precision Krylov on 4RM steady solves, swept over grid
-// sizes from the Table-2 scale (101×101 cells) up to ≥4× that node count
-// (202×202). Per (grid, config) it reports Krylov iterations and wall
-// time; a SELL-C-σ vs CSR SpMV microbenchmark rides along. Every
+// S20 — solver core: multigrid vs ILU(0) preconditioning of the fp64
+// Krylov cascade on 4RM steady solves, swept over grid sizes from the
+// Table-2 scale (101×101 cells) up to ≥4× that node count (202×202). Per
+// (grid, preconditioner) it reports Krylov iterations and wall time. Every
 // measurement is appended to bench_results/BENCH_multigrid.json. At the
 // largest grid the bench self-checks the §S20 claim — multigrid cuts
 // Krylov iterations by at least 3× vs ILU(0) — and exits nonzero if the
@@ -15,7 +14,6 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "network/generators.hpp"
-#include "sparse/sell.hpp"
 #include "thermal/model_4rm.hpp"
 
 namespace {
@@ -50,8 +48,7 @@ Run timed_solve(const AssembledThermal& system, const SteadySolverConfig& cfg) {
   run.seconds = timer.seconds();
   run.counters = instrument::delta(before, instrument::snapshot());
   run.krylov_iters = run.counters.bicgstab_iterations +
-                     run.counters.gmres_iterations +
-                     run.counters.fp32_inner_iters;
+                     run.counters.gmres_iterations;
   (void)field;
   return run;
 }
@@ -75,46 +72,11 @@ void report(int g, std::size_t nodes, const char* config, const Run& run,
   benchutil::append_perf_record(record, "BENCH_multigrid.json");
 }
 
-void spmv_microbench(int g, const sparse::CsrMatrix& a) {
-  const int reps = 50;
-  sparse::Vector x(a.cols());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = 1.0 + 1e-3 * static_cast<double>(i % 97);
-  }
-  sparse::Vector y;
-  a.multiply(x, y);  // warm
-  const WallTimer csr_timer;
-  for (int r = 0; r < reps; ++r) a.multiply(x, y);
-  const double csr_s = csr_timer.seconds();
-
-  const sparse::SellMatrixD sell(a);
-  sell.multiply(x, y);  // warm
-  const WallTimer sell_timer;
-  for (int r = 0; r < reps; ++r) sell.multiply(x, y);
-  const double sell_s = sell_timer.seconds();
-
-  const double pad = static_cast<double>(sell.padded_slots()) /
-                     static_cast<double>(sell.nnz());
-  std::printf("  spmv x%d      csr %.4f s   sell %.4f s   (%.2fx, padding "
-              "%.3f)\n",
-              reps, csr_s, sell_s, csr_s / sell_s, pad);
-  benchutil::PerfRecord record;
-  record.bench = "bench_multigrid";
-  record.config = strfmt("g%d/spmv", g);
-  record.threads = global_pool_threads();
-  record.seconds = sell_s;
-  record.metrics.emplace_back("csr_seconds", csr_s);
-  record.metrics.emplace_back("sell_seconds", sell_s);
-  record.metrics.emplace_back("sell_speedup", csr_s / sell_s);
-  record.metrics.emplace_back("sell_padding_ratio", pad);
-  benchutil::append_perf_record(record, "BENCH_multigrid.json");
-}
-
 }  // namespace
 
 int main() {
-  benchutil::banner("Multigrid + mixed precision vs ILU(0) — 4RM steady solves",
-                    "DESIGN.md §S20 (next-gen solver core)");
+  benchutil::banner("Multigrid vs ILU(0) — 4RM steady solves",
+                    "DESIGN.md §S20 (solver core)");
   const bool fast = env_flag("LCN_FAST");
   // Table-2 dies are 101×101 cells; the large point holds ≥4× that node
   // count. LCN_FAST shrinks the sweep for CI smoke runs.
@@ -133,7 +95,7 @@ int main() {
     std::printf("\n%dx%d grid, 2 dies: %zu nodes, %zu nnz\n", g, g, nodes,
                 system.matrix.nnz());
 
-    SteadySolverConfig ilu_cfg;  // defaults: ILU(0), fp64
+    SteadySolverConfig ilu_cfg;  // default: ILU(0)
     const Run ilu = timed_solve(system, ilu_cfg);
     report(g, nodes, "ilu0-fp64", ilu);
 
@@ -142,18 +104,11 @@ int main() {
     const Run mg = timed_solve(system, mg_cfg);
     report(g, nodes, "mg-fp64", mg, ilu.seconds / mg.seconds);
 
-    SteadySolverConfig mixed_cfg = mg_cfg;
-    mixed_cfg.precision = sparse::Precision::kMixed;
-    const Run mixed = timed_solve(system, mixed_cfg);
-    report(g, nodes, "mg-mixed", mixed, ilu.seconds / mixed.seconds);
-
     std::printf("  mg-fp64 vs ilu0: %.1fx fewer iterations, %.2fx wall time\n",
                 static_cast<double>(ilu.krylov_iters) /
                     static_cast<double>(std::max<std::uint64_t>(
                         mg.krylov_iters, 1)),
                 ilu.seconds / mg.seconds);
-
-    spmv_microbench(g, system.matrix);
 
     // §S20 self-check at the largest grid of the sweep.
     if (g == grids.back()) {

@@ -93,8 +93,16 @@ struct Scheduler::Job {
   JobStatus status = JobStatus::kQueued;
   bool deadline_hit = false;
   Clock::time_point deadline{};  ///< valid when request.timeout_seconds > 0
-  std::unique_ptr<SessionContext> session;  ///< created when the job starts
+  /// Created when the job starts; released once job_done has been emitted.
+  std::unique_ptr<SessionContext> session;
   JobResult result;
+
+  /// Terminal with nothing left to run: a started job keeps its session
+  /// while its job_done emit is in flight, so wait() and the history GC
+  /// treat it as live until execute() has released the session.
+  bool settled() const {
+    return job_status_terminal(status) && session == nullptr;
+  }
 };
 
 Scheduler::Scheduler(Options options) {
@@ -212,7 +220,7 @@ JobResult Scheduler::wait(std::uint64_t id) {
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] {
     const Job* job = find_locked(id);
-    return job == nullptr || job_status_terminal(job->status);
+    return job == nullptr || job->settled();
   });
   const Job* job = find_locked(id);
   if (job == nullptr) {
@@ -260,7 +268,7 @@ void Scheduler::gc_terminal_locked() {
   if (jobs_.size() <= retain_jobs_) return;
   std::size_t excess = jobs_.size() - retain_jobs_;
   for (auto it = jobs_.begin(); it != jobs_.end() && excess > 0;) {
-    if (job_status_terminal(it->second->status)) {
+    if (it->second->settled()) {
       it = jobs_.erase(it);
       --excess;
     } else {
@@ -344,7 +352,9 @@ void Scheduler::runner_loop() {
       publish_gauges_locked();
     }
 
-    execute(*job);
+    // The finished session dies here, after execute()'s SessionScope has
+    // closed and outside the lock.
+    execute(*job).reset();
 
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -379,7 +389,7 @@ void Scheduler::watchdog_loop() {
   }
 }
 
-void Scheduler::execute(Job& job) {
+std::unique_ptr<SessionContext> Scheduler::execute(Job& job) {
   SessionContext& session = *job.session;
   // The runner thread is the job's coordinator: install the session context
   // here and every parallel_for below propagates it to the pool workers.
@@ -523,6 +533,10 @@ void Scheduler::execute(Job& job) {
   local.manifest = session.manifest_json();
   local.status = final_status;
 
+  // The result is stored before job_done because a streaming sink reads it
+  // back in that emit. wait() returns only once the session is released
+  // below, so a client freeing its sink when wait() returns cannot race the
+  // emit.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     local.start_order = job.result.start_order;
@@ -536,6 +550,15 @@ void Scheduler::execute(Job& job) {
                           job_status_name(final_status))
                        .c_str());
   }
+  // From here on a submit()'s history GC may retire the record: `job` must
+  // not be touched after this block.
+  std::unique_ptr<SessionContext> finished;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    finished = std::move(job.session);
+  }
+  done_cv_.notify_all();
+  return finished;
 }
 
 }  // namespace lcn::service

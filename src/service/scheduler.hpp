@@ -138,8 +138,9 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Queue a job. `sink` (optional) streams the job's sa_iter progress and
-  /// lifecycle events; it must stay alive until the job reaches a terminal
-  /// status. Returns the job id, or 0 when the scheduler is draining.
+  /// lifecycle events; it must stay alive until wait(id) returns, which is
+  /// after the final job_done emit. Returns the job id, or 0 when the
+  /// scheduler is draining.
   std::uint64_t submit(JobRequest request, ProgressSink* sink = nullptr);
 
   /// Cancel a job: a queued job completes immediately as kCancelled, a
@@ -152,7 +153,8 @@ class Scheduler {
   /// Snapshot of a job's result; meaningful once terminal (status() tells).
   JobResult result(std::uint64_t id) const;
 
-  /// Block until the job is terminal and return its result.
+  /// Block until the job is terminal and its job_done event has been
+  /// emitted, then return its result.
   JobResult wait(std::uint64_t id);
 
   struct JobInfo {
@@ -182,7 +184,9 @@ class Scheduler {
   /// Retire the oldest terminal jobs once the history exceeds the retention
   /// cap, so a long-lived daemon's job map stays bounded.
   void gc_terminal_locked();
-  void execute(Job& job);
+  /// Run the job and publish its result; returns the job's session, which
+  /// the caller destroys outside the lock.
+  std::unique_ptr<SessionContext> execute(Job& job);
 
   std::size_t max_running_ = 2;
   std::size_t pool_width_ = 1;

@@ -241,38 +241,10 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
 }
 
 // Shared BiCGSTAB→retry→GMRES cascade used by the solve_general_or_throw
-// variants; the workspace and preconditioner are caller-owned. With the
-// default options this is byte-for-byte the seed cascade; the mixed-precision
-// block only runs when opted into and always falls back to the unchanged
-// fp64 path when refinement stalls.
+// variants; the workspace and preconditioner are caller-owned.
 void general_cascade(const CsrMatrix& a, const Vector& b, Vector& x,
                      const std::string& context, const Preconditioner& m,
                      SolverWorkspace& ws, const SolveOptions& opts) {
-  if (opts.precision == Precision::kMixed) {
-    const SolveReport mixed = mixed_refined_solve(a, b, x, m, ws, opts);
-    if (mixed.converged) {
-      LCN_DEBUG() << context << ": mixed-precision refinement converged in "
-                  << mixed.iterations << " fp32 iters, rel residual "
-                  << mixed.relative_residual;
-      return;
-    }
-    // Refinement stalled — restart the fp64 cascade from a zero guess so the
-    // caller still gets the full fp64 tolerance.
-    x.assign(a.rows(), 0.0);
-  }
-  if (opts.method == GeneralMethod::kGmres) {
-    // Opt-in direct GMRES path for hard-to-converge nonsymmetric systems.
-    const SolveReport report = gmres_solve(a, b, x, m, ws, gmres_options(opts));
-    if (!report.converged) {
-      throw RuntimeError(context + ": GMRES failed to converge (rel residual " +
-                         std::to_string(report.relative_residual) + " after " +
-                         std::to_string(report.iterations) + " iterations)");
-    }
-    LCN_DEBUG() << context << ": GMRES converged in " << report.iterations
-                << " iters, rel residual " << report.relative_residual;
-    return;
-  }
-
   SolveReport report = bicgstab_impl(a, b, x, m, opts, ws);
   if (!report.converged) {
     // One retry from scratch with a fresh zero guess and more iterations —
@@ -282,7 +254,7 @@ void general_cascade(const CsrMatrix& a, const Vector& b, Vector& x,
     retry.max_iterations = retry_max_iters(a.rows(), opts);
     report = bicgstab_impl(a, b, x, m, retry, ws);
   }
-  if (!report.converged && opts.method == GeneralMethod::kAuto) {
+  if (!report.converged) {
     // Robust fallback for strongly advective systems: restarted GMRES with
     // the same preconditioner.
     x.assign(a.rows(), 0.0);
@@ -361,14 +333,6 @@ void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
                             const SolveOptions& opts) {
   const Ilu0Preconditioner ilu(a);
   SolverWorkspace ws;
-  general_cascade(a, b, x, context, ilu, ws, opts);
-}
-
-void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
-                            const std::string& context,
-                            const Ilu0Preconditioner& ilu, SolverWorkspace& ws,
-                            const SolveOptions& opts) {
-  instrument::add_workspace_reuse();
   general_cascade(a, b, x, context, ilu, ws, opts);
 }
 

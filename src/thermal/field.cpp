@@ -58,15 +58,6 @@ SteadySolverConfig SteadySolverConfig::from_env() {
   if (precon == "mg" || precon == "multigrid") {
     cfg.precon = Precon::kMultigrid;
   }
-  const std::string method = env_string("LCN_SOLVER_METHOD", "auto");
-  if (method == "bicgstab") {
-    cfg.method = sparse::GeneralMethod::kBicgstab;
-  } else if (method == "gmres") {
-    cfg.method = sparse::GeneralMethod::kGmres;
-  }
-  if (env_string("LCN_SOLVER_PRECISION", "double") == "mixed") {
-    cfg.precision = sparse::Precision::kMixed;
-  }
   return cfg;
 }
 
@@ -86,8 +77,6 @@ ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
       config != nullptr ? *config : SteadySolverConfig::from_env();
   sparse::SolveOptions opts;
   opts.rel_tolerance = rel_tolerance;
-  opts.method = cfg.method;
-  opts.precision = cfg.precision;
   const WallTimer timer;
   const bool use_mg = cfg.precon == SteadySolverConfig::Precon::kMultigrid;
   if (workspace != nullptr) {

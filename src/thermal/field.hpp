@@ -76,22 +76,19 @@ struct SteadyWorkspace {
   sparse::SolverWorkspace krylov;
 };
 
-/// Solver selection for solve_steady (DESIGN.md §S20). The default value is
-/// the seed configuration — ILU(0)-preconditioned fp64 cascade — and takes
-/// exactly the pre-existing code path, bit for bit. from_env() reads the
-/// LCN_SOLVER_* knobs so large-grid runs can switch the whole binary over
-/// without a code change (README "Solver selection").
+/// Preconditioner selection for solve_steady (DESIGN.md §S20). Both choices
+/// run the same fp64 BiCGSTAB → retry → GMRES cascade; the default is the
+/// seed configuration, ILU(0). from_env() reads LCN_SOLVER_PRECON so
+/// large-grid runs can switch the whole binary to multigrid without a code
+/// change (README "Solver selection").
 struct SteadySolverConfig {
   enum class Precon {
     kIlu0,       ///< zero fill-in incomplete LU (seed default)
     kMultigrid,  ///< geometric/algebraic multigrid V-cycle
   };
   Precon precon = Precon::kIlu0;
-  sparse::GeneralMethod method = sparse::GeneralMethod::kAuto;
-  sparse::Precision precision = sparse::Precision::kDouble;
 
-  /// LCN_SOLVER_PRECON=ilu0|mg, LCN_SOLVER_METHOD=auto|bicgstab|gmres,
-  /// LCN_SOLVER_PRECISION=double|mixed. Unset/unknown values keep defaults.
+  /// LCN_SOLVER_PRECON=ilu0|mg. Unset/unknown values keep the default.
   static SteadySolverConfig from_env();
 };
 
@@ -102,7 +99,7 @@ struct SteadySolverConfig {
 /// temperature field is an excellent starting point. `workspace` (optional)
 /// carries preconditioner + Krylov scratch across calls; the solve itself is
 /// bit-identical with or without it. `config` (optional) selects the
-/// preconditioner/method/precision; null reads SteadySolverConfig::from_env().
+/// preconditioner; null reads SteadySolverConfig::from_env().
 ThermalField solve_steady(const AssembledThermal& system,
                           double rel_tolerance = 1e-9,
                           const std::vector<double>* initial_guess = nullptr,

@@ -129,8 +129,6 @@ void TransientStepper::step(std::vector<double>& temps,
 
   sparse::SolveOptions opts;
   opts.rel_tolerance = rel_tolerance;
-  opts.method = config_.method;
-  opts.precision = config_.precision;
   if (config_.precon == SteadySolverConfig::Precon::kMultigrid) {
     sparse::solve_general_or_throw(lhs_, rhs_, temps, "transient step",
                                    *workspace_.mg, workspace_.krylov, opts);

@@ -1,9 +1,7 @@
-// Tests for the next-gen solver core (DESIGN.md §S20): SELL-C-σ SpMV
-// bit-compatibility with CSR across thread counts, the multigrid
-// preconditioner (hierarchy shape, convergence, thread determinism, the
-// refactor() structure-change fallback for MG/ILU/IC), mixed-precision
-// refinement reaching the full fp64 tolerance, and solve_steady's solver
-// configuration dispatch (default config == pre-existing path, bit for bit).
+// Tests for the solver core (DESIGN.md §S20): the multigrid preconditioner
+// (hierarchy shape, convergence, thread determinism, the refactor()
+// structure-change fallback for MG/ILU/IC) and solve_steady's preconditioner
+// dispatch (default config == pre-existing path, bit for bit).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +12,6 @@
 #include "network/generators.hpp"
 #include "sparse/ic0.hpp"
 #include "sparse/multigrid.hpp"
-#include "sparse/sell.hpp"
 #include "sparse/solvers.hpp"
 #include "thermal/model_2rm.hpp"
 #include "thermal/model_4rm.hpp"
@@ -29,7 +26,6 @@ using sparse::SolveOptions;
 using sparse::SolveReport;
 using sparse::TripletList;
 using sparse::Vector;
-using sparse::VectorF;
 
 // 2D 5-point Laplacian on a g x g grid (above kSpmvGrain for g >= 140).
 CsrMatrix laplacian2d(std::size_t g) {
@@ -83,77 +79,6 @@ std::vector<CoolingNetwork> straight_networks(const CoolingProblem& problem) {
   return std::vector<CoolingNetwork>(
       static_cast<std::size_t>(problem.stack.channel_count()),
       make_straight_channels(problem.grid));
-}
-
-// ---------------------------------------------------------------- SELL-C-σ
-
-TEST(SellMatrix, MultiplyBitIdenticalToCsrAcrossThreadCounts) {
-  const CsrMatrix a = laplacian2d(150);  // fans out: ~112k nnz
-  const Vector x = varied_vector(a.cols());
-  Vector ref;
-  a.multiply_serial(x, ref);
-
-  const sparse::SellMatrixD sell(a);
-  EXPECT_EQ(sell.nnz(), a.nnz());
-  EXPECT_GE(sell.padded_slots(), sell.nnz());
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    set_global_pool_threads(threads);
-    Vector y;
-    sell.multiply(x, y);
-    EXPECT_EQ(y, ref) << "threads=" << threads;
-  }
-  set_global_pool_threads(0);
-}
-
-TEST(SellMatrix, RefillTracksNewValuesOnSharedStructure) {
-  CsrMatrix a = laplacian2d(40);
-  sparse::SellMatrixD sell(a);
-  ASSERT_TRUE(sell.shares_structure(a));
-
-  // Same structure, new values (borrowing the shared index arrays).
-  Vector values = a.values();
-  for (double& v : values) v *= 1.75;
-  const CsrMatrix b(a.rows(), a.cols(), a.shared_row_ptr(), a.shared_col_idx(),
-                    std::move(values));
-  sell.refill(b);
-  const Vector x = varied_vector(b.cols());
-  Vector ref;
-  b.multiply_serial(x, ref);
-  Vector y;
-  sell.multiply(x, y);
-  EXPECT_EQ(y, ref);
-}
-
-TEST(SellMatrix, RefillRebuildsOnStructureChange) {
-  sparse::SellMatrixD sell(laplacian2d(30));
-  const CsrMatrix other = laplacian2d(17);  // different pattern entirely
-  EXPECT_FALSE(sell.shares_structure(other));
-  sell.refill(other);
-  EXPECT_EQ(sell.rows(), other.rows());
-  EXPECT_EQ(sell.nnz(), other.nnz());
-  const Vector x = varied_vector(other.cols());
-  Vector ref;
-  other.multiply_serial(x, ref);
-  Vector y;
-  sell.multiply(x, y);
-  EXPECT_EQ(y, ref);
-}
-
-TEST(SellMatrix, Fp32MultiplyApproximatesFp64) {
-  const CsrMatrix a = laplacian2d(40);
-  const sparse::SellMatrixF sell32(a);
-  const Vector x = varied_vector(a.cols());
-  VectorF x32(x.begin(), x.end());
-  VectorF y32;
-  sell32.multiply(x32, y32);
-  Vector ref;
-  a.multiply_serial(x, ref);
-  ASSERT_EQ(y32.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(y32[i]), ref[i],
-                1e-5 * std::max(1.0, std::abs(ref[i])))
-        << "index " << i;
-  }
 }
 
 // --------------------------------------------------------------- multigrid
@@ -275,83 +200,6 @@ TEST(PreconRefactor, SharedStructureRefillMatchesFresh) {
   EXPECT_EQ(z_refactored, z_fresh);
 }
 
-// ----------------------------------------------------------- mixed precision
-
-TEST(MixedPrecision, RefinementReachesFp64Tolerance) {
-  const std::size_t g = 64;
-  const CsrMatrix a = laplacian2d(g);
-  const MgGridHint hint = plane_hint(g);
-  const MultigridPreconditioner mg(a, &hint);
-  const Vector b = varied_vector(a.rows());
-
-  SolveOptions opts;
-  opts.rel_tolerance = 1e-10;
-  opts.precision = sparse::Precision::kMixed;
-  sparse::SolverWorkspace ws;
-  Vector x;
-  const SolveReport report = sparse::mixed_refined_solve(a, b, x, mg, ws, opts);
-  ASSERT_TRUE(report.converged);
-  EXPECT_LT(report.relative_residual, opts.rel_tolerance);
-
-  // The reported residual is the true fp64 residual of the returned iterate.
-  Vector r = a.multiply(x);
-  sparse::axpy(-1.0, b, r);
-  EXPECT_NEAR(sparse::norm2(r) / sparse::norm2(b), report.relative_residual,
-              1e-16);
-
-  // And the iterate agrees with a pure-fp64 solve to that tolerance.
-  Vector x64;
-  SolveOptions opts64;
-  opts64.rel_tolerance = 1e-10;
-  const SolveReport ref = bicgstab_solve(a, b, x64, mg, opts64);
-  ASSERT_TRUE(ref.converged);
-  const double xnorm = sparse::norm2(x64);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(x[i], x64[i], 1e-6 * std::max(1.0, xnorm)) << "index " << i;
-  }
-}
-
-TEST(MixedPrecision, CascadeFallsBackToFp64WhenRefinementIsCapped) {
-  const CsrMatrix a = laplacian2d(40);
-  const Vector b = varied_vector(a.rows());
-  SolveOptions opts;
-  opts.rel_tolerance = 1e-12;
-  opts.precision = sparse::Precision::kMixed;
-  opts.mixed_max_refinements = 1;  // too few steps for 12 digits: must stall
-  sparse::SolverWorkspace ws;
-  const sparse::Ilu0Preconditioner ilu(a);
-  Vector x;
-  // The public cascade entry point must still deliver the fp64 tolerance.
-  EXPECT_NO_THROW(sparse::solve_general_or_throw(a, b, x, "mixed fallback",
-                                                 ilu, ws, opts));
-  Vector r = a.multiply(x);
-  sparse::axpy(-1.0, b, r);
-  EXPECT_LT(sparse::norm2(r) / sparse::norm2(b), opts.rel_tolerance);
-}
-
-TEST(MixedPrecision, WorkspaceReuseMatchesFreshWorkspace) {
-  const CsrMatrix a = laplacian2d(32);
-  const Vector b = varied_vector(a.rows());
-  const sparse::JacobiPreconditioner m(a);
-  SolveOptions opts;
-  opts.rel_tolerance = 1e-8;
-
-  sparse::SolverWorkspace fresh;
-  Vector x1;
-  const SolveReport r1 = sparse::mixed_refined_solve(a, b, x1, m, fresh, opts);
-
-  sparse::SolverWorkspace reused;
-  Vector warmup;
-  sparse::mixed_refined_solve(a, b, warmup, m, reused, opts);
-  Vector x2;
-  const SolveReport r2 = sparse::mixed_refined_solve(a, b, x2, m, reused, opts);
-
-  ASSERT_TRUE(r1.converged);
-  ASSERT_TRUE(r2.converged);
-  EXPECT_EQ(x1, x2);  // reused scratch never leaks a previous solve
-  EXPECT_EQ(r1.iterations, r2.iterations);
-}
-
 // ------------------------------------------------------------- solve_steady
 
 TEST(SolveSteadyConfig, DefaultConfigBitIdenticalToLegacyPath) {
@@ -390,19 +238,12 @@ TEST(SolveSteadyConfig, MultigridAndMixedAgreeWithDefault) {
       solve_steady(system, 1e-10, nullptr, &mg_ws, &mg_cfg);
   EXPECT_TRUE(mg_ws.mg.has_value());
 
-  SteadySolverConfig mixed_cfg = mg_cfg;
-  mixed_cfg.precision = sparse::Precision::kMixed;
-  const ThermalField mixed_field =
-      solve_steady(system, 1e-10, nullptr, nullptr, &mixed_cfg);
-
   // Same system solved to 1e-10: fields agree to solver tolerance.
   ASSERT_EQ(ref.temperatures.size(), mg_field.temperatures.size());
   double scale = 0.0;
   for (double t : ref.temperatures) scale = std::max(scale, std::abs(t));
   for (std::size_t i = 0; i < ref.temperatures.size(); ++i) {
     EXPECT_NEAR(mg_field.temperatures[i], ref.temperatures[i], 1e-6 * scale);
-    EXPECT_NEAR(mixed_field.temperatures[i], ref.temperatures[i],
-                1e-6 * scale);
   }
 }
 
@@ -426,8 +267,6 @@ TEST(SolveSteadyConfig, FromEnvDefaultsMatchSeedConfig) {
   const SteadySolverConfig cfg = SteadySolverConfig::from_env();
   const SteadySolverConfig def;
   EXPECT_EQ(cfg.precon, def.precon);
-  EXPECT_EQ(cfg.method, def.method);
-  EXPECT_EQ(cfg.precision, def.precision);
 }
 
 }  // namespace

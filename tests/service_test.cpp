@@ -407,6 +407,42 @@ TEST(ServiceScheduling, DrainRunsEverythingAndRejectsNewWork) {
   EXPECT_EQ(jobs.size(), 4u);
 }
 
+// Sleeps inside its job_done emit, so a test can act while that emit is in
+// flight.
+class SlowJobDoneSink : public ProgressSink {
+ public:
+  void bind_job(std::uint64_t) override {}
+  void emit(const char* name, const char*) override {
+    if (std::string(name) != "job_done") return;
+    entered.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    finished.store(true);
+  }
+  std::atomic<bool> entered{false};
+  std::atomic<bool> finished{false};
+};
+
+TEST(ServiceScheduling, WaitReturnsOnlyAfterJobDoneEmitFinished) {
+  // One lane: job B queues behind A. Cancelling B while A's job_done emit
+  // sleeps notifies the waiters; wait(A) must still hold until the emit has
+  // returned, or a client freeing its sink on wait() would race the emit.
+  Scheduler scheduler(Scheduler::Options{1});
+  SlowJobDoneSink sink;
+  const std::uint64_t a = scheduler.submit(evaluate_request(), &sink);
+  const std::uint64_t b = scheduler.submit(evaluate_request());
+  std::thread canceller([&] {
+    while (!sink.entered.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(scheduler.cancel(b));
+  });
+  const JobResult result = scheduler.wait(a);
+  EXPECT_TRUE(sink.finished.load());
+  canceller.join();
+  EXPECT_EQ(result.status, JobStatus::kDone) << result.error;
+  EXPECT_EQ(scheduler.wait(b).status, JobStatus::kCancelled);
+}
+
 // ---------------------------------------------------------------------------
 // Progress streaming.
 
