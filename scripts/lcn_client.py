@@ -20,7 +20,9 @@ Exits nonzero on any failure or on hitting --timeout.
 validates its shape. `scrape` speaks raw HTTP to the same port (the daemon
 co-hosts a Prometheus text endpoint, DESIGN.md S24) and validates the
 exposition with a stdlib-only parser: every histogram's buckets must be
-cumulative and its `+Inf` bucket must equal `_count`.
+cumulative and its `+Inf` bucket must equal `_count`, no family may be
+declared by two `# TYPE` lines, and every `_total` sample must belong to a
+declared family.
 """
 
 import argparse
@@ -131,7 +133,7 @@ def metrics_op(args):
                     "%s: bucket sum %d != count %r" % (
                         name, sum(buckets.values()), hist.get("count")))
     if "counters" not in reply:
-        failures.append("missing top-level instrument 'counters'")
+        failures.append("missing top-level 'counters'")
     if "manifest" not in reply:
         failures.append("missing 'manifest'")
     for failure in failures:
@@ -153,6 +155,10 @@ def parse_prometheus(text):
         if line.startswith("#"):
             parts = line.split(None, 3)
             if len(parts) >= 3 and parts[1] == "TYPE":
+                if parts[2] in types:
+                    errors.append("line %d: family %s declared by a second "
+                                  "# TYPE line" % (lineno, parts[2]))
+                    continue
                 types[parts[2]] = parts[3] if len(parts) > 3 else ""
             continue
         brace = line.find("{")
@@ -260,6 +266,9 @@ def scrape(args):
     counters = [n for n, t in types.items() if t == "counter"]
     if not counters:
         failures.append("no counter families in the exposition")
+    for name in samples:
+        if name.endswith("_total") and name not in types:
+            failures.append("%s: sample without a # TYPE declaration" % name)
     for failure in failures:
         print("FAIL: %s" % failure, file=sys.stderr)
     if not failures:

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/env.hpp"
-#include "common/instrument.hpp"
 #include "common/manifest.hpp"
 #include "common/strings.hpp"
 #include "common/task_context.hpp"
@@ -32,6 +31,11 @@ constexpr const char* kCounterHelp[] = {
     LCN_METRIC_COUNTERS(LCN_METRICS_HELP_ENTRY)};
 #undef LCN_METRICS_NAME_ENTRY
 #undef LCN_METRICS_HELP_ENTRY
+
+#define LCN_METRICS_FIELD_ENTRY(name, help) &CounterSnapshot::name,
+constexpr std::uint64_t CounterSnapshot::*kCounterFields[] = {
+    LCN_METRIC_COUNTERS(LCN_METRICS_FIELD_ENTRY)};
+#undef LCN_METRICS_FIELD_ENTRY
 
 /// The fixed finite bucket bounds (seconds), 1e-6 * 2^i. Computed once; the
 /// values are exact binary scalings of 1e-6 so every process agrees on them
@@ -133,13 +137,6 @@ HistogramSnapshot Histogram::snapshot() const {
   return s;
 }
 
-void Histogram::reset() {
-  for (Stripe& stripe : stripes_) {
-    for (auto& c : stripe.counts) c.store(0, kRelaxed);
-    stripe.sum_nanos.store(0, kRelaxed);
-  }
-}
-
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   for (std::size_t b = 0; b < kBucketCount; ++b) {
     buckets[b] += other.buckets[b];
@@ -167,14 +164,40 @@ double HistogramSnapshot::quantile(double q) const {
 // ---------------------------------------------------------------------------
 // Shard + snapshot
 
+std::uint64_t CounterSnapshot::counter(Counter c) const {
+  return this->*kCounterFields[static_cast<std::size_t>(c)];
+}
+
+double CounterSnapshot::cache_hit_rate() const {
+  const std::uint64_t total = cache_hits + cache_misses;
+  return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
+}
+
+std::string CounterSnapshot::json() const {
+  std::string out = "{";
+  for (std::size_t c = 0; c < kCounterCount; ++c) {
+    out += strfmt("\"%s\":%llu,", kCounterNames[c],
+                  static_cast<unsigned long long>(this->*kCounterFields[c]));
+  }
+  out += strfmt("\"cache_hit_rate\":%.4f}", cache_hit_rate());
+  return out;
+}
+
+CounterSnapshot delta(const CounterSnapshot& before,
+                      const CounterSnapshot& after) {
+  CounterSnapshot d;
+  for (const auto field : kCounterFields) {
+    d.*field = after.*field - before.*field;
+  }
+  return d;
+}
+
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (std::size_t h = 0; h < kHistCount; ++h) {
     histograms[h].merge(other.histograms[h]);
   }
   for (std::size_t g = 0; g < kGaugeCount; ++g) gauges[g] = other.gauges[g];
-  for (std::size_t c = 0; c < kCounterCount; ++c) {
-    counters[c] += other.counters[c];
-  }
+  for (const auto field : kCounterFields) this->*field += other.*field;
 }
 
 std::string MetricsSnapshot::json() const {
@@ -217,33 +240,28 @@ std::string MetricsSnapshot::json() const {
     out += strfmt("%s\"%s\":%lld", g == 0 ? "" : ",", kGaugeNames[g],
                   static_cast<long long>(gauges[g]));
   }
-  out += "},\"counters\":{";
-  for (std::size_t c = 0; c < kCounterCount; ++c) {
-    out += strfmt("%s\"%s\":%llu", c == 0 ? "" : ",", kCounterNames[c],
-                  static_cast<unsigned long long>(counters[c]));
-  }
-  out += "}}";
+  out += "},\"counters\":" + CounterSnapshot::json() + "}";
   return out;
 }
 
 MetricsSnapshot MetricShard::snapshot() const {
   MetricsSnapshot s;
+  static_cast<CounterSnapshot&>(s) = counter_snapshot();
   for (std::size_t h = 0; h < kHistCount; ++h) {
     s.histograms[h] = histograms[h].snapshot();
   }
   for (std::size_t g = 0; g < kGaugeCount; ++g) {
     s.gauges[g] = gauges[g].load(kRelaxed);
   }
-  for (std::size_t c = 0; c < kCounterCount; ++c) {
-    s.counters[c] = counters[c].load(kRelaxed);
-  }
   return s;
 }
 
-void MetricShard::reset() {
-  for (auto& h : histograms) h.reset();
-  for (auto& g : gauges) g.store(0, kRelaxed);
-  for (auto& c : counters) c.store(0, kRelaxed);
+CounterSnapshot MetricShard::counter_snapshot() const {
+  CounterSnapshot s;
+  for (std::size_t c = 0; c < kCounterCount; ++c) {
+    s.*kCounterFields[c] = counters[c].load(kRelaxed);
+  }
+  return s;
 }
 
 MetricShard& global_shard() {
@@ -252,7 +270,7 @@ MetricShard& global_shard() {
 }
 
 // ---------------------------------------------------------------------------
-// Billing (global + session shard, mirroring instrument::bump)
+// Billing (global + session shard)
 
 void observe(Hist h, double seconds) {
   const std::size_t i = static_cast<std::size_t>(h);
@@ -263,6 +281,8 @@ void observe(Hist h, double seconds) {
   }
 }
 
+/// Ungated: a relaxed add to the global shard, one thread-local read and,
+/// under a session, a second relaxed add.
 void count(Counter c, std::uint64_t n) {
   const std::size_t i = static_cast<std::size_t>(c);
   global_shard().counters[i].fetch_add(n, kRelaxed);
@@ -327,15 +347,14 @@ std::string bucket_labels(const std::string& labels, const char* le) {
 
 }  // namespace
 
-std::string prometheus_text(const MetricsSnapshot& metrics,
-                            const instrument::Snapshot& counters,
+std::string prometheus_text(const MetricsSnapshot& snapshot,
                             const std::string& labels) {
   std::string out;
   out.reserve(16384);
   const std::string plain = label_block(labels);
 
   for (std::size_t h = 0; h < kHistCount; ++h) {
-    const HistogramSnapshot& hist = metrics.histograms[h];
+    const HistogramSnapshot& hist = snapshot.histograms[h];
     out += strfmt("# HELP lcn_%s %s\n", kHistNames[h], kHistHelp[h]);
     out += strfmt("# TYPE lcn_%s histogram\n", kHistNames[h]);
     std::uint64_t cumulative = 0;
@@ -358,7 +377,7 @@ std::string prometheus_text(const MetricsSnapshot& metrics,
     out += strfmt("# HELP lcn_%s %s\n", kGaugeNames[g], kGaugeHelp[g]);
     out += strfmt("# TYPE lcn_%s gauge\n", kGaugeNames[g]);
     out += strfmt("lcn_%s%s %lld\n", kGaugeNames[g], plain.c_str(),
-                  static_cast<long long>(metrics.gauges[g]));
+                  static_cast<long long>(snapshot.gauges[g]));
   }
 
   for (std::size_t c = 0; c < kCounterCount; ++c) {
@@ -366,17 +385,8 @@ std::string prometheus_text(const MetricsSnapshot& metrics,
                   kCounterHelp[c]);
     out += strfmt("# TYPE lcn_%s_total counter\n", kCounterNames[c]);
     out += strfmt("lcn_%s_total%s %llu\n", kCounterNames[c], plain.c_str(),
-                  static_cast<unsigned long long>(metrics.counters[c]));
+                  static_cast<unsigned long long>(snapshot.*kCounterFields[c]));
   }
-
-  // Every instrument work counter rides along as lcn_<name>_total, so one
-  // scrape covers both registries.
-#define LCN_METRICS_PROM_COUNTER(name)                         \
-  out += "# TYPE lcn_" #name "_total counter\n";               \
-  out += strfmt("lcn_" #name "_total%s %llu\n", plain.c_str(), \
-                static_cast<unsigned long long>(counters.name));
-  LCN_INSTRUMENT_COUNTERS(LCN_METRICS_PROM_COUNTER)
-#undef LCN_METRICS_PROM_COUNTER
 
   return out;
 }

@@ -1,12 +1,10 @@
-// Metrics registry: counters, gauges and log-bucketed latency histograms
-// (DESIGN.md §S24).
-//
-// common/instrument answers "how much work ran" (monotonic event counts);
-// this layer answers "how long did it take and how is the service doing":
-// latency *distributions* for the solver and serving hot paths, health
-// gauges for the scheduler, and SLO counters — scrapeable from a live
-// lcn_serve daemon (the `metrics` protocol op and a Prometheus text
-// endpoint) instead of only post-hoc bench JSON.
+// The metrics registry: counters, gauges and log-bucketed latency
+// histograms (DESIGN.md §S1, §S24). It is the one aggregate registry of the
+// process: monotonic event counts ("how much work ran"), latency
+// *distributions* for the solver and serving hot paths ("how long did it
+// take"), health gauges for the scheduler and SLO counters — scrapeable
+// from a live lcn_serve daemon (the `metrics` protocol op and a Prometheus
+// text endpoint) as well as diffed per phase by benches and tests.
 //
 // Determinism contract: histogram bucket boundaries are fixed at compile
 // time (log2-spaced, 1 µs … ~38 h) and per-observation state is integral —
@@ -18,20 +16,24 @@
 // bucket holding that rank).
 //
 // Overhead contract (mirrors trace §S19):
-//  - Level-gated sites cost one relaxed atomic load + one branch when below
-//    the configured level — no clock read, no stores. `LCN_METRICS=0`
-//    disables everything, 1 (default) enables coarse sites (per-solve and
-//    above), 2 adds fine sites (per-V-cycle, per-SpMV, per-cache-lookup).
+//  - A counter add is never gated: one relaxed atomic add to the global
+//    shard, one thread-local read and, under a session, a second relaxed add.
+//    Sites bill per *kernel invocation* (not per element).
+//  - Histogram sites are level-gated and cost one relaxed atomic load + one
+//    branch when below the configured level — no clock read, no stores.
+//    `LCN_METRICS=0` disables every histogram, 1 (default) enables coarse
+//    sites (per-solve and above), 2 adds fine sites (per-V-cycle, per-SpMV,
+//    per-cache-lookup).
 //  - An enabled observation is one bucket search over 38 boundaries plus
 //    two relaxed atomic adds into the calling thread's stripe (histograms
 //    are striped kStripes-ways to keep pool threads off each other's cache
 //    lines). bench_metrics measures this against a bare counter add.
 //
 // Session sharding (§S22): observe()/count() bill the process-wide registry
-// and *additionally* the MetricShard of the installed TaskContext, exactly
-// like instrument::CounterShard — each tenant gets isolated distributions.
-// Gauges are process-health values (queue depth, running jobs) and are
-// global-only.
+// and *additionally* the MetricShard of the installed TaskContext, so a
+// session's shard accounts exactly the work its own job performed — on
+// whichever pool threads it ran. Gauges are process-health values (queue
+// depth, running jobs) and are global-only.
 #pragma once
 
 #include <array>
@@ -41,20 +43,18 @@
 #include <string>
 #include <vector>
 
-namespace lcn::instrument {
-struct Snapshot;  // common/instrument.hpp
-}
-
 namespace lcn::metrics {
 
 // ---------------------------------------------------------------------------
-// Metric lists (X-macros: enums, name/help tables, shard fields and JSON are
-// all generated from one list, same idiom as LCN_INSTRUMENT_COUNTERS).
+// Metric lists (X-macros: enums, name/help tables, snapshot fields, JSON and
+// the Prometheus exposition are all generated from one list, so a metric
+// cannot be added to one and forgotten in another).
 
 /// Latency histograms, all in seconds. `coarse` sites record per solve /
 /// job / step; `fine` sites are hot (thousands per SA iteration).
 #define LCN_METRIC_HISTOGRAMS(X)                                            \
   X(solve_steady_seconds, "Steady-state thermal solve wall time")           \
+  X(assemble_seconds, "2RM/4RM thermal system assembly wall time")          \
   X(cg_seconds, "Conjugate-gradient solve wall time")                       \
   X(bicgstab_seconds, "BiCGSTAB solve wall time")                           \
   X(gmres_seconds, "GMRES solve wall time")                                 \
@@ -73,11 +73,47 @@ namespace lcn::metrics {
   X(running_jobs, "Jobs currently executing")                         \
   X(client_connections, "Open client connections on service::Server")
 
-/// Monotonic health counters (beyond the work counters in instrument).
-#define LCN_METRIC_COUNTERS(X)                                             \
-  X(deadline_misses, "Jobs cancelled by the watchdog past their deadline") \
-  X(slo_breaches, "Completed jobs whose wall time exceeded LCN_SLO_SECONDS") \
-  X(jobs_rejected, "Jobs refused because the scheduler was shutting down") \
+/// Monotonic event counters: solver and optimizer work, then service
+/// health (SLO) events. Counts only — wall time lives in the histograms.
+#define LCN_METRIC_COUNTERS(X)                                                \
+  X(spmv_count, "Sparse matrix-vector multiplies")                            \
+  X(spmv_nnz, "Nonzeros streamed by sparse matrix-vector multiplies")         \
+  X(cg_solves, "Conjugate-gradient solves")                                   \
+  X(cg_iterations, "Conjugate-gradient iterations")                           \
+  X(bicgstab_solves, "BiCGSTAB solves")                                       \
+  X(bicgstab_iterations, "BiCGSTAB iterations")                               \
+  X(gmres_solves, "GMRES solves (BiCGSTAB fallback)")                         \
+  X(gmres_iterations, "GMRES iterations")                                     \
+  X(assemblies, "2RM/4RM thermal system assemblies")                          \
+  X(assemblies_symbolic, "One-time assembly/sparsity plan builds")            \
+  X(assemblies_refill, "Numeric value refills of an assembly plan")           \
+  X(workspace_reuses, "Krylov solves on a caller-owned workspace")            \
+  X(flow_plan_hits, "Flow patterns served from the plan cache")               \
+  X(flow_plan_misses, "Flow patterns analyzed fresh")                         \
+  X(steady_solves, "Steady-state thermal solves")                             \
+  X(pressure_probes, "Algorithm-3 / golden-section pressure probes")          \
+  X(cache_hits, "SA evaluator cache hits")                                    \
+  X(cache_misses, "SA evaluator cache misses")                                \
+  X(scenarios_evaluated, "Reliability fault scenarios evaluated")             \
+  X(scenarios_infeasible, "Fault scenarios violating limits or unevaluable")  \
+  X(recovery_searches, "Degradation-planner recovery searches")               \
+  X(trace_events_emitted, "Events recorded into trace rings")                 \
+  X(trace_events_dropped, "Trace events lost to ring overflow")               \
+  X(mg_vcycles, "Multigrid V-cycle applications")                             \
+  X(mg_coarse_solves, "Dense multigrid coarse-level solves")                  \
+  X(island_migrations, "Accepted island best-design migrations")              \
+  X(pt_swaps, "Accepted parallel-tempering swaps")                            \
+  X(archive_inserts, "Pareto-archive frontier insertions")                    \
+  X(jobs_completed, "Scheduler jobs run to completion")                       \
+  X(jobs_cancelled, "Scheduler jobs cancelled or timed out")                  \
+  X(transient_steps, "Backward-Euler transient steps solved")                 \
+  X(transient_refills, "Same-structure transient operator refills")           \
+  X(transient_rebuilds, "Full symbolic transient operator rebuilds")          \
+  X(rhs_refills, "RHS-only boundary/power refills")                           \
+  X(scenario_steps, "Dynamic-scenario engine steps")                          \
+  X(deadline_misses, "Jobs cancelled by the watchdog past their deadline")    \
+  X(slo_breaches, "Completed jobs whose wall time exceeded LCN_SLO_SECONDS")  \
+  X(jobs_rejected, "Jobs refused because the scheduler was shutting down")    \
   X(metrics_scrapes, "Snapshot requests served (metrics op + HTTP scrapes)")
 
 #define LCN_METRICS_ENUM_ENTRY(name, help) name,
@@ -168,7 +204,6 @@ class Histogram {
 
   void observe(double seconds);
   HistogramSnapshot snapshot() const;
-  void reset();
 
  private:
   struct alignas(64) Stripe {
@@ -181,12 +216,33 @@ class Histogram {
 // ---------------------------------------------------------------------------
 // Shard + snapshot.
 
-/// Point-in-time copy of a whole shard. merge() is bit-identical under any
-/// grouping (all integral state).
-struct MetricsSnapshot {
+/// Point-in-time copy of every counter, one named field each (generated
+/// from LCN_METRIC_COUNTERS). Per-phase accounting diffs two of these with
+/// delta(); json() renders the flat "counters" object of perf records
+/// (README §Bench), job results and the `metrics` op.
+struct CounterSnapshot {
+#define LCN_METRICS_COUNTER_FIELD(name, help) std::uint64_t name = 0;
+  LCN_METRIC_COUNTERS(LCN_METRICS_COUNTER_FIELD)
+#undef LCN_METRICS_COUNTER_FIELD
+
+  std::uint64_t counter(Counter c) const;
+
+  double cache_hit_rate() const;
+  /// {"spmv_count":N,...,"cache_hit_rate":R}, list order.
+  std::string json() const;
+};
+
+/// `after - before`, counter by counter. Snapshot before, snapshot after,
+/// diff: needs no coordination with concurrent counter adds.
+CounterSnapshot delta(const CounterSnapshot& before,
+                      const CounterSnapshot& after);
+
+/// Point-in-time copy of a whole shard: the counters (the base, by name),
+/// histograms and gauges. merge() is bit-identical under any grouping (all
+/// integral state).
+struct MetricsSnapshot : CounterSnapshot {
   std::array<HistogramSnapshot, kHistCount> histograms{};
   std::array<std::int64_t, kGaugeCount> gauges{};
-  std::array<std::uint64_t, kCounterCount> counters{};
 
   void merge(const MetricsSnapshot& other);  ///< gauges take other's values
 
@@ -196,12 +252,10 @@ struct MetricsSnapshot {
   std::int64_t gauge(Gauge g) const {
     return gauges[static_cast<std::size_t>(g)];
   }
-  std::uint64_t counter(Counter c) const {
-    return counters[static_cast<std::size_t>(c)];
-  }
 
-  /// Flat JSON object: histograms (count/sum_nanos/p50/p95/p99 + non-empty
-  /// bucket arrays), gauges, counters. Deterministic field order.
+  /// {"histograms":{...},"gauges":{...},"counters":{...}}: histograms as
+  /// count/sum_nanos/p50/p95/p99 + non-empty bucket maps, counters as
+  /// CounterSnapshot::json(). Deterministic field order.
   std::string json() const;
 };
 
@@ -215,15 +269,16 @@ struct MetricShard {
   std::array<std::atomic<std::uint64_t>, kCounterCount> counters{};
 
   MetricsSnapshot snapshot() const;
-  void reset();
+  /// The counters alone (relaxed loads, no histogram walk).
+  CounterSnapshot counter_snapshot() const;
 };
 
 /// The process-wide registry.
 MetricShard& global_shard();
 
 // ---------------------------------------------------------------------------
-// Billing entry points (global + current TaskContext shard, like
-// instrument::bump). These are NOT level-gated — gate at the call site with
+// Billing entry points (global + current TaskContext shard). These are NOT
+// level-gated: count() always bills, and histogram sites gate with
 // enabled()/ScopedLatency so the disabled cost stays one load + one branch.
 
 void observe(Hist h, double seconds);
@@ -262,11 +317,10 @@ double sample_quantile(std::vector<double> values, double q);
 std::string manifest_labels();
 
 /// Render a full exposition page: every histogram as cumulative
-/// `_bucket{le=...}` series + `_sum`/`_count`, gauges, metric counters and
-/// every instrument counter as `lcn_<name>_total`. `labels` is the inner
-/// label list applied to all series ("" for none).
-std::string prometheus_text(const MetricsSnapshot& metrics,
-                            const instrument::Snapshot& counters,
+/// `_bucket{le=...}` series + `_sum`/`_count`, every gauge, and every counter
+/// as `lcn_<name>_total` — each family with one `# HELP` and one `# TYPE`.
+/// `labels` is the inner label list applied to all series ("" for none).
+std::string prometheus_text(const MetricsSnapshot& snapshot,
                             const std::string& labels);
 
 }  // namespace lcn::metrics

@@ -1,7 +1,7 @@
 // Per-task execution context propagated across pool threads (DESIGN.md §S22).
 //
 // One process now serves many concurrent jobs (src/service), so the state
-// that used to be implicitly process-wide — instrument counters, the
+// that used to be implicitly process-wide — the metrics registry, the
 // flow-plan cache, cooperative cancellation, the job's share of the thread
 // pool, progress streaming — travels with the *task* instead. A TaskContext
 // is installed on the submitting thread (ScopedTaskContext) and
@@ -23,10 +23,6 @@
 namespace lcn {
 
 class FlowPlanCache;  // flow/flow_plan.hpp (common cannot include flow)
-
-namespace instrument {
-struct CounterShard;  // common/instrument.hpp
-}
 
 namespace metrics {
 struct MetricShard;  // common/metrics.hpp
@@ -56,9 +52,6 @@ class Cancelled : public std::runtime_error {
 };
 
 struct TaskContext {
-  /// Session counter shard; add_* in common/instrument bills both this shard
-  /// and the process-wide counters when set.
-  instrument::CounterShard* counters = nullptr;
   /// Session metrics shard (§S24); metrics::observe()/count() bill both this
   /// shard and the process-wide registry when set.
   metrics::MetricShard* metrics = nullptr;

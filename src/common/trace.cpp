@@ -11,9 +11,9 @@
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
-#include "common/instrument.hpp"
 #include "common/log.hpp"
 #include "common/manifest.hpp"
+#include "common/metrics.hpp"
 #include "common/strings.hpp"
 
 namespace lcn::trace {
@@ -160,9 +160,9 @@ void record(char ph, const char* name, const char* args) {
   event.ph = ph;
   copy_args(event.args, args);
   if (ring->push(event)) {
-    instrument::add_trace_event();
+    metrics::count(metrics::Counter::trace_events_emitted);
   } else {
-    instrument::add_trace_drop();
+    metrics::count(metrics::Counter::trace_events_dropped);
   }
 }
 
@@ -285,7 +285,8 @@ void Span::set_args(const std::string& args_json) {
 }
 
 void warn_if_dropped() {
-  const instrument::Snapshot snap = instrument::snapshot();
+  const metrics::CounterSnapshot snap =
+      metrics::global_shard().counter_snapshot();
   if (snap.trace_events_dropped == 0) return;
   LCN_WARN() << "trace rings overflowed: " << snap.trace_events_dropped
              << " of "

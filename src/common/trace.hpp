@@ -16,7 +16,7 @@
 //    §S1/§S18 are untouched — tracing never changes numerics, only records.
 //  - Tracing enabled: an event is one steady_clock read plus one write into
 //    the calling thread's private ring (single-producer, wait-free). A full
-//    ring drops the event and bumps instrument::trace_events_dropped —
+//    ring drops the event and counts it in the trace_events_dropped metric —
 //    recording never blocks a hot path on the sink.
 //
 // Enabling:
@@ -81,7 +81,7 @@ void flush();
 bool active();
 
 /// Log a one-line warning when any trace events were lost to ring overflow
-/// (instrument::trace_events_dropped > 0), so data loss in a recorded trace
+/// (the trace_events_dropped counter > 0), so data loss in a recorded trace
 /// is never silent. Intended for process exit paths (design_cli, lcn_serve)
 /// after the sink is stopped; no-op when nothing was dropped.
 void warn_if_dropped();

@@ -77,7 +77,7 @@ struct FlowPlan {
 class FlowPlanCache {
  public:
   /// Look up (or build and cache) the plan for `net`. Bumps the
-  /// flow_plan_hits / flow_plan_misses instrument counters. Failed analyses
+  /// flow_plan_hits / flow_plan_misses metrics counters. Failed analyses
   /// (degenerate networks) are not cached and rethrow on every call,
   /// matching the fresh path's behavior.
   std::shared_ptr<const FlowPlan> plan_for(const CoolingNetwork& net);

@@ -1,7 +1,6 @@
 #include "opt/eval_cache.hpp"
 
 #include "common/bits.hpp"
-#include "common/instrument.hpp"
 #include "common/metrics.hpp"
 
 namespace lcn {
@@ -87,12 +86,12 @@ std::optional<EvalResult> EvaluatorCache::find(const EvalCacheKey& key) const {
     const auto it = map_.find(key);
     if (it != map_.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      instrument::add_cache_hit();
+      metrics::count(metrics::Counter::cache_hits);
       return it->second;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  instrument::add_cache_miss();
+  metrics::count(metrics::Counter::cache_misses);
   return std::nullopt;
 }
 

@@ -6,8 +6,8 @@
 #include <optional>
 
 #include "common/env.hpp"
-#include "common/instrument.hpp"
 #include "common/log.hpp"
+#include "common/metrics.hpp"
 #include "common/strings.hpp"
 #include "common/task_context.hpp"
 #include "common/thread_pool.hpp"
@@ -128,7 +128,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
     point.p_sys = result.p_sys;
     point.tag = tag;
     if (out.archive.insert(point) == ArchiveInsert::kInserted) {
-      instrument::add_archive_insert();
+      metrics::count(metrics::Counter::archive_inserts);
     }
   };
 
@@ -363,7 +363,9 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
         // iteration alone (single-chain records only; with K>1 islands share
         // one pool pass, so per-island attribution would be fiction).
         const std::uint64_t probes_before =
-            want_iter && K == 1 ? instrument::snapshot().pressure_probes : 0;
+            want_iter && K == 1
+                ? metrics::global_shard().counter_snapshot().pressure_probes
+                : 0;
 
         // Generate and score every island's neighbor pool in one parallel
         // pass (the paper scores 64 neighbors at once on an 80-core server;
@@ -435,7 +437,8 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
               const double hit_rate =
                   lookups > 0.0 ? static_cast<double>(hits) / lookups : 0.0;
               const std::uint64_t probes =
-                  instrument::snapshot().pressure_probes - probes_before;
+                  metrics::global_shard().counter_snapshot().pressure_probes -
+                  probes_before;
               args = strfmt(
                   "\"stage\":\"%s\",\"round\":%d,\"iter\":%d,"
                   "\"temperature\":%.6g,\"current\":%.9g,"
@@ -449,7 +452,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
                   static_cast<unsigned long long>(probes));
             } else {
               // Per-island variant. The aggregate cost fields are dropped —
-              // they are population-wide and live in the instrument counters.
+              // they are population-wide and live in the metrics counters.
               args = strfmt(
                   "\"stage\":\"%s\",\"island\":%d,\"round\":%d,"
                   "\"iter\":%d,\"temperature\":%.6g,\"current\":%.9g,"
@@ -487,7 +490,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
             if (accept) {
               std::swap(lo.temperature, hi.temperature);
               ++out.pt_swaps;
-              instrument::add_pt_swap();
+              metrics::count(metrics::Counter::pt_swaps);
             }
             out.events.push_back({CommEvent::Kind::kPtSwap,
                                   static_cast<int>(stage_idx), round, iter, j,
@@ -516,7 +519,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
                 cr.best = {cr.state, cr.state_score};
               }
               ++out.migrations;
-              instrument::add_island_migration();
+              metrics::count(metrics::Counter::island_migrations);
             }
             out.events.push_back({CommEvent::Kind::kMigration,
                                   static_cast<int>(stage_idx), round, iter,

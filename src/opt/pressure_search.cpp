@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/instrument.hpp"
+#include "common/metrics.hpp"
 #include "common/trace.hpp"
 
 namespace lcn {
@@ -17,7 +17,7 @@ class CountingProbe {
 
   double operator()(double p) {
     ++count_;
-    instrument::add_pressure_probe();
+    metrics::count(metrics::Counter::pressure_probes);
     // Soft budget: Algorithm 3 terminates by interval width; the budget is a
     // backstop against pathological probes (e.g. noisy f).
     LCN_CHECK(count_ <= 4 * budget_, "pressure search probe budget exhausted");

@@ -1,6 +1,6 @@
 #include "reliability/robust.hpp"
 
-#include "common/instrument.hpp"
+#include "common/metrics.hpp"
 
 namespace lcn {
 
@@ -47,13 +47,13 @@ EvalResult robust_evaluate(const CoolingProblem& nominal,
   for (const FaultScenario& scenario : sample.scenarios()) {
     const DegradedSystem degraded =
         apply_scenario(nominal, network, scenario);
-    instrument::add_scenario_evaluated();
+    metrics::count(metrics::Counter::scenarios_evaluated);
     EvalResult result = evaluate_one(degraded.problem, degraded.network);
     // A droop caps the pressure the search may assume: scale the found
     // operating point back to the commanded frame so scores stay in
     // commanded-pressure units across scenarios.
     if (!result.feasible) {
-      instrument::add_scenario_infeasible();
+      metrics::count(metrics::Counter::scenarios_infeasible);
       return EvalResult::infeasible_result();
     }
     if (degraded.pressure_derate != 1.0) {

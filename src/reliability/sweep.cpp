@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "common/instrument.hpp"
+#include "common/metrics.hpp"
 #include "common/strings.hpp"
 #include "common/task_context.hpp"
 #include "common/thread_pool.hpp"
@@ -60,9 +60,9 @@ ScenarioOutcome evaluate_scenario(const DegradedSystem& system,
     out.dt_margin = limits.delta_t_max - out.at_p.delta_t;
     out.feasible = out.t_margin >= 0.0 && out.dt_margin >= 0.0;
     if (!out.feasible) {
-      instrument::add_scenario_infeasible();
+      metrics::count(metrics::Counter::scenarios_infeasible);
       if (options.plan_recovery) {
-        instrument::add_recovery_search();
+        metrics::count(metrics::Counter::recovery_searches);
         // Algorithm 2 on the degraded system: the smallest *delivered*
         // pressure meeting both limits; the pump must command it through
         // the droop.
@@ -82,10 +82,10 @@ ScenarioOutcome evaluate_scenario(const DegradedSystem& system,
     // liquid component cut off from its ports, ...): no pump command can
     // help, so the scenario is unrecoverable by construction.
     out.evaluated = false;
-    instrument::add_scenario_infeasible();
+    metrics::count(metrics::Counter::scenarios_infeasible);
     out.recovery = RecoveryKind::kUnrecoverable;
   }
-  instrument::add_scenario_evaluated();
+  metrics::count(metrics::Counter::scenarios_evaluated);
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/instrument.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -362,7 +361,7 @@ ScenarioResult run_scenario(const CoolingProblem& problem,
       temps.assign(system.matrix.rows(), boundary.inlet_temperature);
     }
     stepper->step(temps, config.rel_tolerance);
-    instrument::add_scenario_step();
+    metrics::count(metrics::Counter::scenario_steps);
 
     ScenarioSample sample;
     sample.step = step;

@@ -183,17 +183,18 @@ std::string result_json(std::uint64_t id, const JobResult& result) {
   }
   out += strfmt(",\"seconds\":%.6f,\"start_order\":%llu", result.seconds,
                 static_cast<unsigned long long>(result.start_order));
-  out += ",\"counters\":" + result.counters.json();
-  out += ",\"metrics\":" + result.metrics.json();
+  // The counters again at top level, where job clients have always read
+  // them, next to the whole shard under "metrics".
+  out += ",\"counters\":" + result.counters.CounterSnapshot::json();
+  out += ",\"metrics\":" + result.counters.json();
   if (!result.manifest.empty()) out += ",\"manifest\":" + result.manifest;
   out += '}';
   return out;
 }
 
-std::string metrics_json(const metrics::MetricsSnapshot& metrics,
-                         const instrument::Snapshot& counters) {
-  std::string out = "{\"ok\":true,\"metrics\":" + metrics.json();
-  out += ",\"counters\":" + counters.json();
+std::string metrics_json(const metrics::MetricsSnapshot& snapshot) {
+  std::string out = "{\"ok\":true,\"metrics\":" + snapshot.json();
+  out += ",\"counters\":" + snapshot.CounterSnapshot::json();
   out += ",\"manifest\":" + run_manifest().json();
   out += '}';
   return out;

@@ -62,9 +62,8 @@ std::string event_json(const char* name, std::uint64_t job_id,
                        const char* args);
 
 /// {"ok":true,"metrics":{...},"counters":{...},"manifest":{...}} — the
-/// process-wide metrics registry (§S24), instrument counters and run
-/// manifest as one snapshot line for the `metrics` op.
-std::string metrics_json(const metrics::MetricsSnapshot& metrics,
-                         const instrument::Snapshot& counters);
+/// process-wide metrics registry (§S24), its counters again at top level,
+/// and the run manifest as one snapshot line for the `metrics` op.
+std::string metrics_json(const metrics::MetricsSnapshot& snapshot);
 
 }  // namespace lcn::service

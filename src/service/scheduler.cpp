@@ -513,9 +513,9 @@ std::unique_ptr<SessionContext> Scheduler::execute(Job& job) {
   }
 
   if (final_status == JobStatus::kCancelled) {
-    instrument::add_job_cancelled();
+    metrics::count(metrics::Counter::jobs_cancelled);
   } else {
-    instrument::add_job_completed();
+    metrics::count(metrics::Counter::jobs_completed);
   }
 
   local.seconds = timer.seconds();
@@ -528,8 +528,7 @@ std::unique_ptr<SessionContext> Scheduler::execute(Job& job) {
     metrics::count(metrics::Counter::slo_breaches);
   }
   local.error = error;
-  local.counters = session.counters().snapshot();
-  local.metrics = session.metrics().snapshot();
+  local.counters = session.metrics().snapshot();
   local.manifest = session.manifest_json();
   local.status = final_status;
 

@@ -20,7 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/instrument.hpp"
+#include "common/metrics.hpp"
 #include "common/task_context.hpp"
 #include "opt/sa.hpp"
 #include "scenario/scenario.hpp"
@@ -116,9 +116,10 @@ struct JobResult {
   /// 1-based order in which the scheduler started jobs (tests use it to
   /// prove concurrency without relying on wall clocks).
   std::uint64_t start_order = 0;
-  instrument::Snapshot counters;     ///< the session shard at completion
-  metrics::MetricsSnapshot metrics;  ///< the session metric shard (§S24)
-  std::string manifest;              ///< SessionContext::manifest_json()
+  /// The session's metrics shard at completion (§S24): every counter by
+  /// name, plus its histograms and gauges.
+  metrics::MetricsSnapshot counters;
+  std::string manifest;  ///< SessionContext::manifest_json()
 };
 
 class Scheduler {

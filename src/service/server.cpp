@@ -15,7 +15,6 @@
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
-#include "common/instrument.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
@@ -379,8 +378,7 @@ bool Server::handle_line(const std::shared_ptr<Connection>& conn,
     if (path == "/metrics") {
       metrics::count(metrics::Counter::metrics_scrapes);
       const std::string body = metrics::prometheus_text(
-          metrics::global_shard().snapshot(), instrument::snapshot(),
-          metrics::manifest_labels());
+          metrics::global_shard().snapshot(), metrics::manifest_labels());
       conn->write_raw(http_response(
           200, "OK", "text/plain; version=0.0.4; charset=utf-8", body));
     } else {
@@ -444,8 +442,7 @@ bool Server::handle_line(const std::shared_ptr<Connection>& conn,
       return true;
     case Request::Op::kMetrics:
       metrics::count(metrics::Counter::metrics_scrapes);
-      conn->write_line(metrics_json(metrics::global_shard().snapshot(),
-                                    instrument::snapshot()));
+      conn->write_line(metrics_json(metrics::global_shard().snapshot()));
       return true;
     case Request::Op::kShutdown:
       conn->write_line("{\"ok\":true,\"draining\":true}");

@@ -11,7 +11,6 @@ SessionContext::SessionContext(std::uint64_t id, SessionConfig config)
   if (config_.private_flow_plans) {
     flow_plans_ = std::make_unique<FlowPlanCache>();
   }
-  ctx_.counters = &counters_;
   ctx_.metrics = &metrics_;
   ctx_.cancel = &cancel_;
   ctx_.pool_share = &pool_share_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/instrument.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
 #include "sparse/parallel.hpp"
@@ -59,7 +58,8 @@ void CsrMatrix::multiply_serial(const Vector& x, Vector& y) const {
 void CsrMatrix::multiply(const Vector& x, Vector& y) const {
   const metrics::ScopedLatency latency(metrics::Hist::spmv_batch_seconds,
                                        metrics::kFine);
-  instrument::add_spmv(nnz());
+  metrics::count(metrics::Counter::spmv_count);
+  metrics::count(metrics::Counter::spmv_nnz, nnz());
   if (!parallel_kernels_enabled(nnz(), kSpmvGrain)) {
     multiply_serial(x, y);
     return;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/instrument.hpp"
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
 #include "common/trace.hpp"
@@ -19,7 +18,8 @@ struct IterationRecorder {
   metrics::ScopedLatency latency{metrics::Hist::gmres_seconds};
   const SolveReport& report;
   ~IterationRecorder() {
-    instrument::add_gmres(report.iterations);
+    metrics::count(metrics::Counter::gmres_solves);
+    metrics::count(metrics::Counter::gmres_iterations, report.iterations);
     if (span.active()) {
       span.set_args(strfmt("\"iters\":%zu,\"rel\":%.3e,\"converged\":%s",
                            report.iterations, report.relative_residual,
@@ -185,7 +185,7 @@ SolveReport gmres_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 SolveReport gmres_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                         const Preconditioner& m, SolverWorkspace& ws,
                         const GmresOptions& options) {
-  instrument::add_workspace_reuse();
+  metrics::count(metrics::Counter::workspace_reuses);
   return gmres_impl(a, b, x, m, options, ws);
 }
 

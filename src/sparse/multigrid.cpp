@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "common/assert.hpp"
-#include "common/instrument.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 
@@ -280,7 +279,7 @@ void MultigridPreconditioner::refill(const CsrMatrix& a) {
 }
 
 void MultigridPreconditioner::coarse_solve(const Vector& rhs, Vector& x) const {
-  instrument::add_mg_coarse_solve();
+  metrics::count(metrics::Counter::mg_coarse_solves);
   if (coarse_lu_.has_value()) {
     x = coarse_lu_->solve(rhs);
     return;
@@ -324,7 +323,7 @@ void MultigridPreconditioner::apply(const Vector& r, Vector& z) const {
   LCN_TRACE_SPAN_FINE("mg_vcycle");
   const metrics::ScopedLatency latency(metrics::Hist::mg_vcycle_seconds,
                                        metrics::kFine);
-  instrument::add_mg_vcycle();
+  metrics::count(metrics::Counter::mg_vcycles);
   vcycle(0, r, z);
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/instrument.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/strings.hpp"
@@ -40,12 +39,19 @@ struct IterationRecorder {
   trace::Span span;
   metrics::ScopedLatency latency;
   const SolveReport& report;
-  void (*record)(std::uint64_t);
+  metrics::Counter solves;
+  metrics::Counter iterations;
   IterationRecorder(const char* name, metrics::Hist hist,
-                    const SolveReport& r, void (*rec)(std::uint64_t))
-      : span(name, trace::kFine), latency(hist), report(r), record(rec) {}
+                    const SolveReport& r, metrics::Counter solves_counter,
+                    metrics::Counter iterations_counter)
+      : span(name, trace::kFine),
+        latency(hist),
+        report(r),
+        solves(solves_counter),
+        iterations(iterations_counter) {}
   ~IterationRecorder() {
-    record(report.iterations);
+    metrics::count(solves);
+    metrics::count(iterations, report.iterations);
     if (span.active()) {
       span.set_args(strfmt("\"iters\":%zu,\"rel\":%.3e,\"converged\":%s",
                            report.iterations, report.relative_residual,
@@ -78,7 +84,8 @@ SolveReport cg_impl(const CsrMatrix& a, const Vector& b, Vector& x,
   const double bnorm = norm2(b);
   SolveReport report;
   const IterationRecorder recorder("cg_solve", metrics::Hist::cg_seconds,
-                                   report, &instrument::add_cg);
+                                   report, metrics::Counter::cg_solves,
+                                   metrics::Counter::cg_iterations);
   const bool recording = opts.record_residuals;
   if (bnorm == 0.0) {
     x.assign(n, 0.0);
@@ -147,7 +154,8 @@ SolveReport bicgstab_impl(const CsrMatrix& a, const Vector& b, Vector& x,
   SolveReport report;
   const IterationRecorder recorder("bicgstab_solve",
                                    metrics::Hist::bicgstab_seconds, report,
-                                   &instrument::add_bicgstab);
+                                   metrics::Counter::bicgstab_solves,
+                                   metrics::Counter::bicgstab_iterations);
   const bool recording = opts.record_residuals;
   if (bnorm == 0.0) {
     x.assign(n, 0.0);
@@ -287,7 +295,7 @@ SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 SolveReport cg_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                      const Preconditioner& m, SolverWorkspace& ws,
                      const SolveOptions& opts) {
-  instrument::add_workspace_reuse();
+  metrics::count(metrics::Counter::workspace_reuses);
   return cg_impl(a, b, x, m, opts, ws);
 }
 
@@ -300,7 +308,7 @@ SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
 SolveReport bicgstab_solve(const CsrMatrix& a, const Vector& b, Vector& x,
                            const Preconditioner& m, SolverWorkspace& ws,
                            const SolveOptions& opts) {
-  instrument::add_workspace_reuse();
+  metrics::count(metrics::Counter::workspace_reuses);
   return bicgstab_impl(a, b, x, m, opts, ws);
 }
 
@@ -339,7 +347,7 @@ void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
 void solve_general_or_throw(const CsrMatrix& a, const Vector& b, Vector& x,
                             const std::string& context, const Preconditioner& m,
                             SolverWorkspace& ws, const SolveOptions& opts) {
-  instrument::add_workspace_reuse();
+  metrics::count(metrics::Counter::workspace_reuses);
   general_cascade(a, b, x, context, m, ws, opts);
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/instrument.hpp"
+#include "common/metrics.hpp"
 
 namespace lcn::sparse {
 
@@ -53,7 +53,7 @@ SparsityPlan SparsityPlan::analyze(std::size_t rows, std::size_t cols,
       std::make_shared<const std::vector<std::size_t>>(std::move(row_ptr));
   plan.col_idx_ =
       std::make_shared<const std::vector<std::size_t>>(std::move(col_idx));
-  instrument::add_assembly_symbolic();
+  metrics::count(metrics::Counter::assemblies_symbolic);
   return plan;
 }
 

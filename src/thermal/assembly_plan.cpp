@@ -1,8 +1,7 @@
 #include "thermal/assembly_plan.hpp"
 
 #include "common/assert.hpp"
-#include "common/instrument.hpp"
-#include "common/timer.hpp"
+#include "common/metrics.hpp"
 
 namespace lcn {
 
@@ -74,7 +73,7 @@ AssembledThermal ThermalAssemblyPlan::assemble(double p_sys) const {
 AssembledThermal ThermalAssemblyPlan::assemble(
     double p_sys, const BoundaryState& boundary) const {
   LCN_REQUIRE(p_sys > 0.0, "P_sys must be positive");
-  const WallTimer timer;
+  const metrics::ScopedLatency latency(metrics::Hist::assemble_seconds);
   const double cv = volumetric_heat;
 
   AssembledThermal out;
@@ -111,8 +110,8 @@ AssembledThermal ThermalAssemblyPlan::assemble(
     return 0.0;  // unreachable
   });
 
-  instrument::add_assembly_refill();
-  instrument::add_assembly(timer.seconds());
+  metrics::count(metrics::Counter::assemblies_refill);
+  metrics::count(metrics::Counter::assemblies);
   return out;
 }
 
@@ -123,7 +122,7 @@ void ThermalAssemblyPlan::refill_rhs(double p_sys,
   LCN_REQUIRE(io.matrix.rows() == n, "refill_rhs: system/plan size mismatch");
   replay_rhs(p_sys, boundary, io.rhs);
   io.inlet_temperature = boundary.inlet_temperature;
-  instrument::add_rhs_refill();
+  metrics::count(metrics::Counter::rhs_refills);
 }
 
 }  // namespace lcn

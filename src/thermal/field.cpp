@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
-#include "common/instrument.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
@@ -53,11 +52,14 @@ double advected_heat(const AssembledThermal& system,
 }
 
 SteadySolverConfig SteadySolverConfig::from_env() {
-  SteadySolverConfig cfg;
-  const std::string precon = env_string("LCN_SOLVER_PRECON", "ilu0");
-  if (precon == "mg" || precon == "multigrid") {
-    cfg.precon = Precon::kMultigrid;
-  }
+  static const SteadySolverConfig cfg = [] {
+    SteadySolverConfig c;
+    const std::string precon = env_string("LCN_SOLVER_PRECON", "ilu0");
+    if (precon == "mg" || precon == "multigrid") {
+      c.precon = Precon::kMultigrid;
+    }
+    return c;
+  }();
   return cfg;
 }
 
@@ -111,10 +113,9 @@ ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
     sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
                                    "steady thermal solve", opts);
   }
-  const double seconds = timer.seconds();
-  instrument::add_steady_solve(seconds);
+  metrics::count(metrics::Counter::steady_solves);
   if (metrics::enabled()) {
-    metrics::observe(metrics::Hist::solve_steady_seconds, seconds);
+    metrics::observe(metrics::Hist::solve_steady_seconds, timer.seconds());
   }
   return make_field(system, std::move(temps));
 }

@@ -88,7 +88,9 @@ struct SteadySolverConfig {
   };
   Precon precon = Precon::kIlu0;
 
-  /// LCN_SOLVER_PRECON=ilu0|mg. Unset/unknown values keep the default.
+  /// LCN_SOLVER_PRECON=ilu0|mg, read once per process (solve_steady,
+  /// TransientStepper and run_scenario all share that value). Unset/unknown
+  /// values keep the default.
   static SteadySolverConfig from_env();
 };
 

@@ -1,7 +1,7 @@
 #include "thermal/transient.hpp"
 
 #include "common/assert.hpp"
-#include "common/instrument.hpp"
+#include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "sparse/parallel.hpp"
 #include "sparse/solvers.hpp"
@@ -76,9 +76,9 @@ void TransientStepper::bind(const AssembledThermal& system, double dt) {
       }
     }
     plan_ = sparse::SparsityPlan::analyze(n, n, pattern);
-    instrument::add_transient_rebuild();
+    metrics::count(metrics::Counter::transient_rebuilds);
   } else {
-    instrument::add_transient_refill();
+    metrics::count(metrics::Counter::transient_refills);
   }
   last_rebind_refilled_ = same_structure;
 
@@ -136,7 +136,7 @@ void TransientStepper::step(std::vector<double>& temps,
     sparse::solve_general_or_throw(lhs_, rhs_, temps, "transient step",
                                    *workspace_.ilu, workspace_.krylov, opts);
   }
-  instrument::add_transient_step();
+  metrics::count(metrics::Counter::transient_steps);
 }
 
 std::vector<TransientSample> simulate_transient(

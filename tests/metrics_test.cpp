@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/instrument.hpp"
 #include "common/metrics.hpp"
 #include "common/task_context.hpp"
 #include "common/thread_pool.hpp"
@@ -251,8 +250,8 @@ TEST(MetricsPrometheus, GoldenExpositionFormat) {
   shard.counters[static_cast<std::size_t>(metrics::Counter::slo_breaches)]
       .store(7);
 
-  const std::string text = metrics::prometheus_text(
-      shard.snapshot(), instrument::snapshot(), "foo=\"bar\"");
+  const std::string text =
+      metrics::prometheus_text(shard.snapshot(), "foo=\"bar\"");
 
   const char* const expected[] = {
       "# HELP lcn_solve_steady_seconds Steady-state thermal solve wall time\n",
@@ -267,15 +266,32 @@ TEST(MetricsPrometheus, GoldenExpositionFormat) {
       "lcn_running_jobs{foo=\"bar\"} 3\n",
       "# TYPE lcn_slo_breaches_total counter\n",
       "lcn_slo_breaches_total{foo=\"bar\"} 7\n",
-      // Every instrument work counter rides along.
+      // Work counters are families of the same list, help text included.
+      "# HELP lcn_steady_solves_total Steady-state thermal solves\n",
       "# TYPE lcn_steady_solves_total counter\n",
   };
   for (const char* line : expected) {
     EXPECT_NE(text.find(line), std::string::npos) << "missing: " << line;
   }
+  // Every counter family is declared exactly once: one # HELP, one # TYPE.
+  const auto occurrences = [&text](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  for (std::size_t c = 0; c < metrics::kCounterCount; ++c) {
+    const std::string family =
+        std::string("lcn_") +
+        metrics::counter_name(static_cast<metrics::Counter>(c)) + "_total";
+    EXPECT_EQ(occurrences("# TYPE " + family + " counter\n"), 1u) << family;
+    EXPECT_EQ(occurrences("# HELP " + family + " "), 1u) << family;
+  }
+  EXPECT_EQ(occurrences(" counter\n"), metrics::kCounterCount);
   // An empty label set must not leave dangling braces.
-  const std::string bare = metrics::prometheus_text(
-      shard.snapshot(), instrument::snapshot(), "");
+  const std::string bare = metrics::prometheus_text(shard.snapshot(), "");
   EXPECT_NE(bare.find("lcn_solve_steady_seconds_bucket{le=\"1e-06\"} 2\n"),
             std::string::npos);
   EXPECT_NE(bare.find("lcn_solve_steady_seconds_count 3\n"),

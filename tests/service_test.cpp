@@ -249,16 +249,12 @@ TEST(ServiceIsolation, SessionShardsAccountOnlyTheirOwnWork) {
 }
 
 TEST(ServiceIsolation, ConcurrentShardEqualsSoloShardSerially) {
-  // At one pool thread every run is serial, so a session's shard must be
-  // byte-identical between a solo scheduler run and a three-tenant run —
-  // except wall-clock micros counters. Private flow plans make even the
-  // plan hit/miss split session-deterministic.
+  // At one pool thread every run is serial, so a session's full counter set
+  // must be byte-identical between a solo scheduler run and a three-tenant
+  // run. Private flow plans make even the plan hit/miss split
+  // session-deterministic.
   set_global_pool_threads(1);
-  auto shard_print = [](instrument::Snapshot s) {
-    s.assembly_micros = 0;
-    s.solve_micros = 0;
-    return s.json();
-  };
+  auto shard_print = [](const instrument::Snapshot& s) { return s.json(); };
 
   JobRequest req = design_request(31);
   req.private_flow_plans = true;
