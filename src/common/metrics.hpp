@@ -55,6 +55,7 @@ namespace lcn::metrics {
 #define LCN_METRIC_HISTOGRAMS(X)                                            \
   X(solve_steady_seconds, "Steady-state thermal solve wall time")           \
   X(assemble_seconds, "2RM/4RM thermal system assembly wall time")          \
+  X(precond_setup_seconds, "Preconditioner build or refactor wall time")    \
   X(cg_seconds, "Conjugate-gradient solve wall time")                       \
   X(bicgstab_seconds, "BiCGSTAB solve wall time")                           \
   X(gmres_seconds, "GMRES solve wall time")                                 \

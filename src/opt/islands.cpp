@@ -65,6 +65,19 @@ std::uint64_t chain_seed(std::uint64_t seed, int island) {
       .next();
 }
 
+/// Pressure probes billed so far to the calling job: its session shard when
+/// a task context carries one, the process-wide registry otherwise (where
+/// concurrent jobs' probes mix in).
+std::uint64_t probes_so_far() {
+  const TaskContext* ctx = current_task_context();
+  const metrics::MetricShard& shard = ctx != nullptr && ctx->metrics != nullptr
+                                          ? *ctx->metrics
+                                          : metrics::global_shard();
+  return shard
+      .counters[static_cast<std::size_t>(metrics::Counter::pressure_probes)]
+      .load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 /// The staged-SA loop of TreeTopologyOptimizer::run generalized to K
@@ -363,9 +376,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
         // iteration alone (single-chain records only; with K>1 islands share
         // one pool pass, so per-island attribution would be fiction).
         const std::uint64_t probes_before =
-            want_iter && K == 1
-                ? metrics::global_shard().counter_snapshot().pressure_probes
-                : 0;
+            want_iter && K == 1 ? probes_so_far() : 0;
 
         // Generate and score every island's neighbor pool in one parallel
         // pass (the paper scores 64 neighbors at once on an 80-core server;
@@ -436,9 +447,7 @@ IslandOutcome IslandEngine::run(const std::vector<SaStage>& stages) {
               const double lookups = static_cast<double>(hits + misses);
               const double hit_rate =
                   lookups > 0.0 ? static_cast<double>(hits) / lookups : 0.0;
-              const std::uint64_t probes =
-                  metrics::global_shard().counter_snapshot().pressure_probes -
-                  probes_before;
+              const std::uint64_t probes = probes_so_far() - probes_before;
               args = strfmt(
                   "\"stage\":\"%s\",\"round\":%d,\"iter\":%d,"
                   "\"temperature\":%.6g,\"current\":%.9g,"

@@ -63,6 +63,28 @@ SteadySolverConfig SteadySolverConfig::from_env() {
   return cfg;
 }
 
+const sparse::Preconditioner& setup_preconditioner(
+    SteadyWorkspace& ws, const SteadySolverConfig& cfg,
+    const sparse::CsrMatrix& matrix, const sparse::MgGridHint* hint,
+    bool fresh_mg) {
+  LCN_TRACE_SPAN_FINE("precond_setup");
+  const metrics::ScopedLatency latency(metrics::Hist::precond_setup_seconds);
+  if (cfg.precon == SteadySolverConfig::Precon::kMultigrid) {
+    if (ws.mg && !fresh_mg) {
+      ws.mg->refactor(matrix);
+    } else {
+      ws.mg.emplace(matrix, hint);
+    }
+    return *ws.mg;
+  }
+  if (ws.ilu) {
+    ws.ilu->refactor(matrix);
+  } else {
+    ws.ilu.emplace(matrix);
+  }
+  return *ws.ilu;
+}
+
 ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
                           const std::vector<double>* initial_guess,
                           SteadyWorkspace* workspace,
@@ -80,39 +102,15 @@ ThermalField solve_steady(const AssembledThermal& system, double rel_tolerance,
   sparse::SolveOptions opts;
   opts.rel_tolerance = rel_tolerance;
   const WallTimer timer;
-  const bool use_mg = cfg.precon == SteadySolverConfig::Precon::kMultigrid;
-  if (workspace != nullptr) {
-    // Matrices refilled from one assembly plan share index arrays, so the
-    // preconditioner skips its symbolic analysis on every refactorization.
-    if (use_mg) {
-      if (workspace->mg) {
-        workspace->mg->refactor(system.matrix);
-      } else {
-        workspace->mg.emplace(system.matrix, system.mg_hint.get());
-      }
-      sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
-                                     "steady thermal solve", *workspace->mg,
-                                     workspace->krylov, opts);
-    } else {
-      if (workspace->ilu) {
-        workspace->ilu->refactor(system.matrix);
-      } else {
-        workspace->ilu.emplace(system.matrix);
-      }
-      sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
-                                     "steady thermal solve", *workspace->ilu,
-                                     workspace->krylov, opts);
-    }
-  } else if (use_mg) {
-    const sparse::MultigridPreconditioner mg(system.matrix,
-                                             system.mg_hint.get());
-    sparse::SolverWorkspace ws;
-    sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
-                                   "steady thermal solve", mg, ws, opts);
-  } else {
-    sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
-                                   "steady thermal solve", opts);
-  }
+  // Matrices refilled from one assembly plan share index arrays, so a held
+  // preconditioner skips its symbolic analysis on every refactorization.
+  // Without a caller's workspace the solve runs on a fresh local one.
+  SteadyWorkspace local;
+  SteadyWorkspace& ws = workspace != nullptr ? *workspace : local;
+  const sparse::Preconditioner& m =
+      setup_preconditioner(ws, cfg, system.matrix, system.mg_hint.get());
+  sparse::solve_general_or_throw(system.matrix, system.rhs, temps,
+                                 "steady thermal solve", m, ws.krylov, opts);
   metrics::count(metrics::Counter::steady_solves);
   if (metrics::enabled()) {
     metrics::observe(metrics::Hist::solve_steady_seconds, timer.seconds());

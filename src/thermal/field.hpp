@@ -94,6 +94,17 @@ struct SteadySolverConfig {
   static SteadySolverConfig from_env();
 };
 
+/// Factor `matrix` into the preconditioner `cfg` selects, held in `ws`:
+/// refactor the one already there (no symbolic work when `matrix` shares its
+/// structure) or build it, multigrid from `hint`; `fresh_mg` rebuilds a held
+/// hierarchy instead. Timed as one `precond_setup` span and one
+/// precond_setup_seconds observation — a hierarchy's per-level ILU(0)
+/// refactors are inside them, not billed again. Returns the preconditioner.
+const sparse::Preconditioner& setup_preconditioner(
+    SteadyWorkspace& ws, const SteadySolverConfig& cfg,
+    const sparse::CsrMatrix& matrix, const sparse::MgGridHint* hint,
+    bool fresh_mg = false);
+
 /// Solve the steady system (preconditioned BiCGSTAB, GMRES fallback) and
 /// build the field. Throws lcn::RuntimeError on non-convergence.
 /// `initial_guess` (optional, right size) warm-starts the Krylov solve —

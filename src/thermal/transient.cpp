@@ -90,19 +90,8 @@ void TransientStepper::bind(const AssembledThermal& system, double dt) {
 
   // lhs_ borrows plan_'s index arrays on every refill, so the
   // preconditioner's refactorization skips its symbolic phase.
-  if (config_.precon == SteadySolverConfig::Precon::kMultigrid) {
-    if (workspace_.mg && same_structure) {
-      workspace_.mg->refactor(lhs_);
-    } else {
-      workspace_.mg.emplace(lhs_, system.mg_hint.get());
-    }
-  } else {
-    if (workspace_.ilu) {
-      workspace_.ilu->refactor(lhs_);
-    } else {
-      workspace_.ilu.emplace(lhs_);
-    }
-  }
+  setup_preconditioner(workspace_, config_, lhs_, system.mg_hint.get(),
+                       !same_structure);
 }
 
 void TransientStepper::step(std::vector<double>& temps,

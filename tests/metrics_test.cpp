@@ -262,6 +262,9 @@ TEST(MetricsPrometheus, GoldenExpositionFormat) {
       "lcn_solve_steady_seconds_bucket{foo=\"bar\",le=\"+Inf\"} 3\n",
       "lcn_solve_steady_seconds_sum{foo=\"bar\"} 5e-06\n",
       "lcn_solve_steady_seconds_count{foo=\"bar\"} 3\n",
+      "# HELP lcn_precond_setup_seconds Preconditioner build or refactor "
+      "wall time\n",
+      "# TYPE lcn_precond_setup_seconds histogram\n",
       "# TYPE lcn_running_jobs gauge\n",
       "lcn_running_jobs{foo=\"bar\"} 3\n",
       "# TYPE lcn_slo_breaches_total counter\n",

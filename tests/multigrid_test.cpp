@@ -7,6 +7,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "network/generators.hpp"
@@ -15,6 +16,7 @@
 #include "sparse/solvers.hpp"
 #include "thermal/model_2rm.hpp"
 #include "thermal/model_4rm.hpp"
+#include "thermal/transient.hpp"
 
 namespace lcn {
 namespace {
@@ -261,6 +263,41 @@ TEST(SolveSteadyConfig, MultigridWorkspaceRefactorsAcrossProbes) {
     prev = field.t_max;
   }
   EXPECT_TRUE(ws.mg.has_value());
+}
+
+TEST(SolveSteadyConfig, PreconditionerSetupObservedOncePerBuildOrRefactor) {
+  // One precond_setup observation per steady solve and per stepper
+  // (re)bind, whichever preconditioner; a hierarchy's per-level ILU(0)
+  // refactors are part of its one observation.
+  const int saved_level = metrics::g_level.load();
+  metrics::set_level(metrics::kCoarse);
+  const auto setups = [] {
+    return metrics::global_shard()
+        .snapshot()
+        .hist(metrics::Hist::precond_setup_seconds)
+        .count;
+  };
+  const CoolingProblem problem = small_problem();
+  const Thermal2RM sim(problem, straight_networks(problem), 3);
+  const AssembledThermal a = sim.assemble(1000.0);
+  const AssembledThermal b = sim.assemble(3000.0);
+  for (const auto precon : {SteadySolverConfig::Precon::kIlu0,
+                            SteadySolverConfig::Precon::kMultigrid}) {
+    SteadySolverConfig cfg;
+    cfg.precon = precon;
+    const std::uint64_t before = setups();
+    SteadyWorkspace ws;
+    solve_steady(a, 1e-9, nullptr, &ws, &cfg);
+    solve_steady(b, 1e-9, nullptr, &ws, &cfg);
+    solve_steady(a, 1e-9, nullptr, nullptr, &cfg);
+    EXPECT_EQ(setups() - before, 3u);
+    TransientStepper stepper(a, 1e-3, cfg);
+    stepper.rebind(b, 1e-3);
+    std::vector<double> temps(a.matrix.rows(), a.inlet_temperature);
+    stepper.step(temps, 1e-9);
+    EXPECT_EQ(setups() - before, 5u);
+  }
+  metrics::set_level(saved_level);
 }
 
 TEST(SolveSteadyConfig, FromEnvDefaultsMatchSeedConfig) {

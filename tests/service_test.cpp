@@ -491,6 +491,48 @@ TEST(ServiceProgress, SaIterEventsStreamToTheSessionSink) {
   EXPECT_EQ(sa_iters, 6u);
 }
 
+TEST(ServiceProgress, ConcurrentSaIterRecordsEqualSolo) {
+  // Each sa_iter record carries the pressure probes of its own iteration.
+  // Read from the process-wide registry, a concurrent job's probes would
+  // leak in; the job's session shard keeps them out. One pool thread keeps
+  // each job's probe sequence itself deterministic.
+  set_global_pool_threads(1);
+  const auto sa_iters = [](RecordingSink& sink) {
+    std::lock_guard<std::mutex> lock(sink.mutex);
+    std::vector<std::string> records;
+    for (const auto& [name, args] : sink.events) {
+      if (name == "sa_iter") records.push_back(args);
+    }
+    return records;
+  };
+  const auto request = [](std::uint64_t seed) {
+    JobRequest req = design_request(seed);
+    req.private_flow_plans = true;
+    return req;
+  };
+
+  std::vector<std::string> solo;
+  {
+    Scheduler scheduler(Scheduler::Options{2});
+    RecordingSink sink;
+    const JobResult result =
+        scheduler.wait(scheduler.submit(request(41), &sink));
+    ASSERT_EQ(result.status, JobStatus::kDone) << result.error;
+    solo = sa_iters(sink);
+    ASSERT_EQ(solo.size(), 6u);
+    EXPECT_NE(solo.front().find("\"probes\":"), std::string::npos);
+  }
+
+  Scheduler scheduler(Scheduler::Options{2});
+  RecordingSink sink;
+  const std::uint64_t id = scheduler.submit(request(41), &sink);
+  const std::uint64_t other = scheduler.submit(request(42));
+  ASSERT_EQ(scheduler.wait(id).status, JobStatus::kDone);
+  ASSERT_EQ(scheduler.wait(other).status, JobStatus::kDone);
+  EXPECT_EQ(sa_iters(sink), solo);
+  set_global_pool_threads(0);
+}
+
 TEST(ServiceProgress, ScenarioJobStreamsPerStepSamples) {
   Scheduler scheduler(Scheduler::Options{2});
   RecordingSink sink;
